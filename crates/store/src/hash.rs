@@ -5,6 +5,10 @@
 //! descriptions*) and for payload checksums (hashes of artifact *bytes*).
 //! A 256-bit digest makes accidental collisions a non-concern at any
 //! realistic experiment-matrix size.
+//!
+//! Every block goes through one `compress_blocks`, which runs the x86
+//! SHA-NI kernel when the CPU has it and the portable implementation
+//! otherwise; the digests are identical either way.
 
 /// A 256-bit digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,7 +90,80 @@ impl Sha256 {
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Feeds `data` into the hash.
+    pub fn update(&mut self, data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if self.buf_len > 0 {
+            let take = rest.len().min(64 - self.buf_len);
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
+            self.buf_len += take;
+            rest = &rest[take..];
+            if self.buf_len == 64 {
+                compress_blocks(&mut self.h, std::slice::from_ref(&self.buf));
+                self.buf_len = 0;
+            }
+        }
+        let (blocks, tail) = rest.as_chunks::<64>();
+        compress_blocks(&mut self.h, blocks);
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
+        }
+    }
+
+    /// Finishes the hash and returns the digest.
+    #[must_use]
+    pub fn finish(mut self) -> Digest {
+        // Padding: the buffered bytes, 0x80, zeros up to 8 bytes short of
+        // a block boundary, then the message length in bits (big-endian).
+        // That is one block when the 0x80 and the length fit after the
+        // buffered bytes, two otherwise.
+        let mut tail = [[0u8; 64]; 2];
+        let n_blocks = if self.buf_len < 56 { 1 } else { 2 };
+        let bytes = tail.as_flattened_mut();
+        bytes[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        bytes[self.buf_len] = 0x80;
+        bytes[64 * n_blocks - 8..64 * n_blocks]
+            .copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.h, &tail[..n_blocks]);
+        let mut out = [0u8; 32];
+        for (chunk, v) in out.chunks_exact_mut(4).zip(self.h) {
+            chunk.copy_from_slice(&v.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// One-shot digest of `data`.
+    #[must_use]
+    pub fn digest(data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finish()
+    }
+}
+
+/// Compresses `blocks` into `state`, in order. Every block of every hash
+/// goes through here: on x86_64 CPUs with the SHA extensions it runs the
+/// SHA-NI kernel, elsewhere the portable [`compress`]. Both give the same
+/// state bit for bit (see the tests), so the choice is invisible outside
+/// this function.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `detected` has just confirmed that the CPU supports every
+        // feature the kernel is compiled for.
+        unsafe { sha_ni::compress_blocks(state, blocks) };
+        return;
+    }
+    compress(state, blocks);
+}
+
+/// The portable SHA-256 compression function (FIPS 180-4, section 6.2.2)
+/// over each block in turn: the fallback on CPUs without SHA-NI and the
+/// oracle the kernel is tested against.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -99,7 +176,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -120,92 +197,241 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
+}
 
-    /// Feeds `data` into the hash.
-    pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(64 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+/// SHA-256 on the x86 SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`), about five times the portable throughput.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// True if this CPU can run [`compress_blocks`]. `std` caches the
+    /// CPUID probe, so this is a few loads per call.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses `blocks` into `state`, in order, exactly like the
+    /// portable `compress` applied to each block.
+    ///
+    /// The hardware rounds work on the state as two vectors, `abef` and
+    /// `cdgh` (lane 3 first), and take the message four words at a time;
+    /// `sha256msg1`/`sha256msg2` extend the message schedule four words per
+    /// step from the previous sixteen.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `ssse3` and `sse4.1` features, as
+    /// [`detected`] reports (`sse2` is part of the x86_64 baseline).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Byte shuffle turning each big-endian message word little-endian.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 bytes, so both 16-byte unaligned loads at
+        // offsets 0 and 16 stay inside it.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 bytes, so the four 16-byte unaligned
+            // loads at offsets 0, 16, 32 and 48 stay inside it.
+            let mut w = unsafe {
+                let p = block.as_ptr().cast::<__m128i>();
+                [p, p.add(1), p.add(2), p.add(3)]
+                    .map(|q| _mm_shuffle_epi8(_mm_loadu_si128(q), be_words))
+            };
+            // Rounds 4i..4i+4 consume message words 4i..4i+4, kept in
+            // `w[i % 4]`. From i = 4 on, that slot first takes the next
+            // four schedule words, computed from the groups of four that
+            // start 16, 12, 8 and 4 words back (`w16`..`w4`): the four
+            // slots' current contents.
+            for i in 0..16 {
+                if i >= 4 {
+                    let (w16, w12, w8, w4) =
+                        (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let partial =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+                    w[i % 4] = _mm_sha256msg2_epu32(partial, w4);
+                }
+                // SAFETY: `i < 16`, so the 16-byte load at `K[4 * i]` ends
+                // at `K[4 * i + 3]`, inside the 64 round constants.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * i).cast::<__m128i>()) };
+                let wk = _mm_add_epi32(w[i % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
             }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        while rest.len() >= 64 {
-            let block: [u8; 64] = rest[..64].try_into().expect("64-byte block");
-            self.compress(&block);
-            rest = &rest[64..];
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
-    }
 
-    /// Finishes the hash and returns the digest.
-    #[must_use]
-    pub fn finish(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above, both 16-byte unaligned stores
+        // stay inside the 32-byte `state`.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgef);
         }
-        // Manual length append: `update` would recount these bytes.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (chunk, v) in out.chunks_exact_mut(4).zip(self.h) {
-            chunk.copy_from_slice(&v.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    /// One-shot digest of `data`.
-    #[must_use]
-    pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
+
+    /// A compression kernel: `state` absorbs `blocks` in order.
+    type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// The SHA-NI kernel, or `None` on a CPU without it. A `None` is
+    /// announced on the process's stderr, which the test harness does not
+    /// capture, so a skipped hardware comparison shows even in a passing
+    /// run instead of passing silently.
+    fn sha_ni_kernel(test: &str) -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            return Some(|state, blocks| {
+                // SAFETY: `detected` has confirmed the CPU features the
+                // kernel is compiled for.
+                unsafe { sha_ni::compress_blocks(state, blocks) }
+            });
+        }
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: SKIPPED the SHA-NI comparison: this CPU lacks SHA-NI"
+        );
+        None
+    }
+
+    /// `data` with FIPS 180-4 padding, as whole blocks. Written out apart
+    /// from `Sha256::finish` so the two check each other.
+    fn padded_blocks(data: &[u8]) -> Vec<[u8; 64]> {
+        let mut m = data.to_vec();
+        m.push(0x80);
+        while m.len() % 64 != 56 {
+            m.push(0);
+        }
+        m.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        m.as_chunks::<64>().0.to_vec()
+    }
+
+    fn digest_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut state = Sha256::new().h;
+        kernel(&mut state, &padded_blocks(data));
+        let mut out = [0u8; 32];
+        for (chunk, v) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&v.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// `len` deterministic pseudo-random bytes (splitmix64).
+    fn test_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
 
     // NIST FIPS 180-4 test vectors.
+    const NIST: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
+
     #[test]
-    fn empty_input_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    fn nist_vectors_match_on_every_kernel() {
+        let hw = sha_ni_kernel("nist_vectors_match_on_every_kernel");
+        for (data, hex) in NIST {
+            assert_eq!(Sha256::digest(data).to_hex(), hex);
+            assert_eq!(digest_with(compress, data).to_hex(), hex);
+            if let Some(hw) = hw {
+                assert_eq!(digest_with(hw, data).to_hex(), hex);
+            }
+        }
     }
 
     #[test]
-    fn abc_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn every_length_to_1024_matches_portable() {
+        let hw = sha_ni_kernel("every_length_to_1024_matches_portable");
+        for len in 0..=1024 {
+            let data = test_bytes(len, len as u64);
+            let want = digest_with(compress, &data);
+            assert_eq!(Sha256::digest(&data), want, "len {len}");
+            if let Some(hw) = hw {
+                assert_eq!(digest_with(hw, &data), want, "SHA-NI, len {len}");
+            }
+        }
     }
 
     #[test]
-    fn two_block_message_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn random_update_splits_match_portable() {
+        // `Sha256` runs the kernel this CPU selects: on SHA-NI hardware
+        // these splits drive it with every block-run length `update` makes.
+        let _ = sha_ni_kernel("random_update_splits_match_portable");
+        let data = test_bytes(8 * 1024 + 37, 7);
+        let want = digest_with(compress, &data);
+        let mut cuts = test_bytes(4096, 99).into_iter();
+        for _ in 0..50 {
+            let mut h = Sha256::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                // Mostly short pieces, sometimes several blocks at once.
+                let c = usize::from(cuts.next().expect("enough cut bytes"));
+                let take = if c < 200 { c % 70 } else { c * 4 }.min(rest.len());
+                h.update(&rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(h.finish(), want);
+        }
+    }
+
+    #[test]
+    fn one_mib_buffer_matches_portable() {
+        let hw = sha_ni_kernel("one_mib_buffer_matches_portable");
+        let data = test_bytes((1 << 20) + 13, 1);
+        let want = digest_with(compress, &data);
+        assert_eq!(Sha256::digest(&data), want);
+        if let Some(hw) = hw {
+            assert_eq!(digest_with(hw, &data), want);
+        }
     }
 
     #[test]

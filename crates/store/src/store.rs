@@ -653,10 +653,9 @@ impl Iterator for TraceStream {
     }
 }
 
-/// Streaming variant of [`read_verified`]: checks header and payload
-/// checksum by hashing fixed-size blocks, never holding the payload in
-/// memory. Leaves the file position unspecified.
-fn verify_streaming(file: &mut std::fs::File, kind: Kind) -> Result<(), String> {
+/// Reads an object header and checks its magic and kind, returning the
+/// payload length and checksum it declares.
+fn parse_header(file: &mut std::fs::File, kind: Kind) -> Result<(u64, Digest), String> {
     let mut header = [0u8; HEADER_LEN];
     file.read_exact(&mut header)
         .map_err(|e| format!("short header: {e}"))?;
@@ -671,7 +670,14 @@ fn verify_streaming(file: &mut std::fs::File, kind: Kind) -> Result<(), String> 
         ));
     }
     let payload_len = u64::from_le_bytes(header[9..17].try_into().expect("8B"));
-    let stored_checksum = Digest(header[17..49].try_into().expect("32B"));
+    Ok((payload_len, Digest(header[17..49].try_into().expect("32B"))))
+}
+
+/// Streaming variant of [`read_verified`]: checks header and payload
+/// checksum by hashing fixed-size blocks, never holding the payload in
+/// memory. Leaves the file position unspecified.
+fn verify_streaming(file: &mut std::fs::File, kind: Kind) -> Result<(), String> {
+    let (payload_len, stored_checksum) = parse_header(file, kind)?;
     let mut hasher = Sha256::new();
     let mut remaining = payload_len;
     let mut block = [0u8; 64 * 1024];
@@ -708,21 +714,7 @@ fn read_kind(path: &Path) -> Option<Kind> {
 }
 
 fn read_verified(file: &mut std::fs::File, key: &Digest, kind: Kind) -> Result<Vec<u8>, String> {
-    let mut header = [0u8; HEADER_LEN];
-    file.read_exact(&mut header)
-        .map_err(|e| format!("short header: {e}"))?;
-    if &header[..8] != STORE_MAGIC {
-        return Err("bad magic".to_owned());
-    }
-    if Kind::from_code(header[8]) != Some(kind) {
-        return Err(format!(
-            "kind byte {} != expected {}",
-            header[8],
-            kind.code()
-        ));
-    }
-    let payload_len = u64::from_le_bytes(header[9..17].try_into().expect("8B"));
-    let stored_checksum = Digest(header[17..49].try_into().expect("32B"));
+    let (payload_len, stored_checksum) = parse_header(file, kind)?;
     // An absurd length means a corrupt header; don't try to allocate it.
     if payload_len > 1 << 34 {
         return Err(format!("implausible payload length {payload_len}"));

@@ -213,27 +213,55 @@ fn streamed_put_is_readable_by_materialized_get_and_vice_versa() {
 
 #[test]
 fn corrupt_object_never_reaches_the_streaming_reader() {
-    let dir = ScratchDir::new("stream-corrupt");
-    let store = Store::open(&dir.0).expect("open");
+    // Object header: 8 magic + 1 kind + 8 length + 32 checksum bytes.
+    const HEADER_LEN: usize = 49;
+    // The up-front verification pass hashes the payload in blocks of this
+    // size; a flip on either side of a block edge must be caught too.
+    const VERIFY_BLOCK: usize = 64 * 1024;
     let profile = WorkloadProfile::tiny(2);
     let trace = Trace::generate(&profile, 3_000);
-    store
-        .put_trace_stream(&profile, 3_000, &trace.name, trace.records.iter().copied())
-        .expect("publish");
+    // (what, file offset) for an object of `len` bytes.
+    let flips = |len: usize| {
+        [
+            ("first payload byte", HEADER_LEN),
+            (
+                "last byte of the first verify block",
+                HEADER_LEN + VERIFY_BLOCK - 1,
+            ),
+            (
+                "first byte of the second verify block",
+                HEADER_LEN + VERIFY_BLOCK,
+            ),
+            ("last byte", len - 1),
+        ]
+    };
+    for case in 0..4 {
+        let dir = ScratchDir::new("stream-corrupt");
+        let store = Store::open(&dir.0).expect("open");
+        store
+            .put_trace_stream(&profile, 3_000, &trace.name, trace.records.iter().copied())
+            .expect("publish");
 
-    // Flip a byte deep in the payload: the up-front verification pass must
-    // catch it before a single record is handed out.
-    let path = find_only_object(&dir.0);
-    let mut bytes = std::fs::read(&path).expect("read object");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&path, bytes).expect("rewrite object");
+        let path = find_only_object(&dir.0);
+        let mut bytes = std::fs::read(&path).expect("read object");
+        assert!(
+            bytes.len() > HEADER_LEN + VERIFY_BLOCK + 1,
+            "payload must span two verify blocks"
+        );
+        let (what, at) = flips(bytes.len())[case];
+        bytes[at] ^= 0xff;
+        std::fs::write(&path, bytes).expect("rewrite object");
 
-    assert!(store.open_trace_stream(&profile, 3_000).is_none());
-    assert!(!path.exists(), "corrupt entry must be unlinked");
-
-    let c = store.take_counters();
-    assert_eq!((c.trace_hits, c.trace_misses), (0, 1));
+        // Verification must catch the flip before a single record is
+        // handed out.
+        assert!(
+            store.open_trace_stream(&profile, 3_000).is_none(),
+            "{what} (offset {at}) flipped"
+        );
+        assert!(!path.exists(), "corrupt entry must be unlinked ({what})");
+        let c = store.take_counters();
+        assert_eq!((c.trace_hits, c.trace_misses), (0, 1), "{what}");
+    }
 }
 
 #[test]
