@@ -6,10 +6,11 @@
 //! serialization of every `SimReport` (the exact bytes `btb-store` persists,
 //! so an unchanged hash also means unchanged store content). The hash is
 //! compared against a committed fixture captured before the PR 3 hot-path
-//! overhaul.
+//! overhaul. A second fixture pins the predictor-size sweep and the ideal
+//! backend the same way.
 //!
 //! Release-only (`cargo test --release`): quick scale is too slow for the
-//! debug tier-1 run. Refresh the fixture after an *intentional* behaviour
+//! debug tier-1 run. Refresh the fixtures after an *intentional* behaviour
 //! change with:
 //!
 //! ```text
@@ -23,6 +24,11 @@ use btb_store::{Sha256, Store};
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/report_snapshot_quick.sha256"
+);
+
+const PREDICTOR_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/report_snapshot_predictor_sizes.sha256"
 );
 
 /// One configuration per organization kind, realistic geometries.
@@ -49,18 +55,15 @@ fn matrix_hash(matrix: &[Vec<btb_sim::SimReport>]) -> String {
     hasher.finish().to_hex()
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release-only: simulates Scale::quick()")]
-fn run_matrix_quick_is_byte_identical_to_fixture() {
-    let suite = Suite::generate(Scale::quick());
-    let matrix = run_matrix(&suite, &roster(), &PipelineConfig::paper());
-    let hex = matrix_hash(&matrix);
+/// Compares `hex` with the committed fixture at `path`, or rewrites the
+/// fixture when `BTB_BLESS` is set.
+fn check_fixture(path: &str, hex: &str) {
     if std::env::var_os("BTB_BLESS").is_some() {
-        std::fs::write(FIXTURE, format!("{hex}\n")).expect("write fixture");
-        eprintln!("blessed {FIXTURE} = {hex}");
+        std::fs::write(path, format!("{hex}\n")).expect("write fixture");
+        eprintln!("blessed {path} = {hex}");
         return;
     }
-    let expected = std::fs::read_to_string(FIXTURE)
+    let expected = std::fs::read_to_string(path)
         .expect("missing fixture: run once with BTB_BLESS=1 in release mode");
     assert_eq!(
         hex,
@@ -68,6 +71,42 @@ fn run_matrix_quick_is_byte_identical_to_fixture() {
         "serialized SimReports diverged from the committed snapshot; \
          if the change is intentional, re-bless with BTB_BLESS=1"
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: simulates Scale::quick()")]
+fn run_matrix_quick_is_byte_identical_to_fixture() {
+    let suite = Suite::generate(Scale::quick());
+    let matrix = run_matrix(&suite, &roster(), &PipelineConfig::paper());
+    check_fixture(FIXTURE, &matrix_hash(&matrix));
+}
+
+/// The non-paper predictor geometries: the Fig. 11b size sweep (64 KB down
+/// to 2 KB, folded-history widths 12 down to 7 bits) and the §6.5.2 ideal
+/// backend, each over I-BTB 16 and MB-BTB, pinned byte for byte in a
+/// second fixture.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: simulates Scale::quick()")]
+fn predictor_sizes_are_byte_identical_to_fixture() {
+    let suite = Suite::generate(Scale::quick());
+    let roster = [
+        configs::real_ibtb16(),
+        configs::real_mbbtb(16, 2, btb_core::PullPolicy::AllBranches),
+    ];
+    let mut pipes: Vec<PipelineConfig> = [64usize, 32, 16, 8, 4, 2]
+        .into_iter()
+        .map(|kb| PipelineConfig::paper().with_predictor_kb(kb))
+        .collect();
+    pipes.push(PipelineConfig::paper_ideal_backend());
+    let mut hasher = Sha256::new();
+    for pipe in &pipes {
+        for row in run_matrix(&suite, &roster, pipe) {
+            for report in &row {
+                hasher.update(&btb_store::codec::encode_report(report));
+            }
+        }
+    }
+    check_fixture(PREDICTOR_FIXTURE, &hasher.finish().to_hex());
 }
 
 /// Thread-count independence: the PR 4 parallel runner must produce the
