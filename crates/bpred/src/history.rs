@@ -1,5 +1,23 @@
-//! Global branch history: a long shift register with XOR-folding helpers
-//! used to index history-based predictor tables.
+//! Global branch history: a long shift register plus one incrementally
+//! folded register per perceptron table.
+//!
+//! Each hashed-perceptron table indexes with its history length (see
+//! [`history_lengths`]) XOR-folded down to the predictor's index width `w`:
+//! history bit `i` (0 = most recent) lands on bit `i mod w` of the fold.
+//! Re-folding up to 232 bits on every lookup is what a straightforward model
+//! does; [`GlobalHistory`] instead keeps each table's fold in a `w`-bit
+//! register and updates it in O(1) per [`GlobalHistory::push`] with the
+//! TAGE circular-shift update: rotate left by one inside `w` bits, XOR in
+//! the new outcome at bit 0, and XOR out the bit leaving the table's window
+//! at bit `len mod w`. The width is fixed when the history is built
+//! ([`GlobalHistory::new`] uses the paper's 12 bits;
+//! `HashedPerceptron::new_history` builds any other). [`GlobalHistory::fold`]
+//! recomputes a fold from the raw bits and serves as the definitional oracle
+//! the registers are tested against.
+//!
+//! [`history_lengths`]: crate::history_lengths
+
+use crate::perceptron::{history_lengths, NUM_TABLES};
 
 /// Maximum history length supported, matching the paper's 0–232 bit
 /// perceptron histories.
@@ -7,27 +25,109 @@ pub const MAX_HISTORY_BITS: usize = 256;
 
 const WORDS: usize = MAX_HISTORY_BITS / 64;
 
+/// Fold width of the paper's 64 KB perceptron (4K entries per table).
+const PAPER_FOLD_BITS: usize = 12;
+
+/// Where one table's folded register taps the raw history, precomputed so
+/// that a push does no division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tap {
+    /// Word and bit of history offset `len`: the bit that has just left
+    /// the table's window after a push.
+    word: u8,
+    bit: u8,
+    /// `len mod width`: where that bit sits in the folded register.
+    pos: u8,
+    /// The register's `width` low bits, or 0 for the history-less table.
+    mask: u32,
+}
+
 /// A global history register of up to [`MAX_HISTORY_BITS`] outcomes,
-/// most-recent outcome in bit 0.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// most-recent outcome in bit 0, with one folded register per perceptron
+/// table.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalHistory {
     words: [u64; WORDS],
+    folded: [u32; NUM_TABLES],
+    taps: [Tap; NUM_TABLES],
+    width: u32,
+}
+
+impl Default for GlobalHistory {
+    fn default() -> Self {
+        GlobalHistory::new()
+    }
 }
 
 impl GlobalHistory {
-    /// Creates an all-zero (not-taken) history.
+    /// Creates an all-zero (not-taken) history folded to the paper
+    /// perceptron's 12-bit index width.
     #[must_use]
     pub fn new() -> Self {
-        GlobalHistory::default()
+        GlobalHistory::with_fold_width(PAPER_FOLD_BITS)
     }
 
-    /// Shifts in one outcome (true = taken) as the most recent bit.
+    /// Creates an all-zero history whose per-table registers fold to
+    /// `width` bits.
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or greater than 32.
+    pub(crate) fn with_fold_width(width: usize) -> Self {
+        assert!(width > 0 && width <= 32, "fold width out of range");
+        let mut taps = [Tap {
+            word: 0,
+            bit: 0,
+            pos: 0,
+            mask: 0,
+        }; NUM_TABLES];
+        for (tap, len) in taps.iter_mut().zip(history_lengths()) {
+            assert!(len < MAX_HISTORY_BITS, "history length out of range");
+            if len > 0 {
+                *tap = Tap {
+                    word: (len / 64) as u8,
+                    bit: (len % 64) as u8,
+                    pos: (len % width) as u8,
+                    mask: u32::MAX >> (32 - width),
+                };
+            }
+        }
+        GlobalHistory {
+            words: [0; WORDS],
+            folded: [0; NUM_TABLES],
+            taps,
+            width: width as u32,
+        }
+    }
+
+    /// Width in bits of the folded registers.
+    #[must_use]
+    pub fn fold_width(&self) -> usize {
+        self.width as usize
+    }
+
+    /// Table `table`'s folded register: equal to
+    /// `self.fold(history_lengths()[table], self.fold_width())`.
+    #[inline]
+    #[must_use]
+    pub fn folded(&self, table: usize) -> u64 {
+        u64::from(self.folded[table])
+    }
+
+    /// Shifts in one outcome (true = taken) as the most recent bit and
+    /// updates every folded register.
     pub fn push(&mut self, taken: bool) {
         let mut carry = u64::from(taken);
         for w in &mut self.words {
             let out = *w >> 63;
             *w = (*w << 1) | carry;
             carry = out;
+        }
+        let new = u32::from(taken);
+        let top = self.width - 1;
+        for (f, tap) in self.folded.iter_mut().zip(&self.taps) {
+            let out = ((self.words[usize::from(tap.word)] >> tap.bit) & 1) as u32;
+            let rotated = (*f << 1) | (*f >> top);
+            *f = (rotated ^ new ^ (out << tap.pos)) & tap.mask;
         }
     }
 
@@ -49,7 +149,9 @@ impl GlobalHistory {
     ///
     /// This is the classic folded-history indexing used by geometric-history
     /// predictors: the history is split into `out_bits`-wide chunks which are
-    /// XORed together.
+    /// XORed together. The predictor reads the incrementally maintained
+    /// registers instead ([`Self::folded`]); this recomputation is the
+    /// definitional oracle they are tested against.
     ///
     /// # Panics
     /// Panics if `out_bits` is 0 or greater than 32, or if `len` exceeds
@@ -67,7 +169,7 @@ impl GlobalHistory {
         // `wide` is a multiple of `out_bits`, the chunk boundaries coincide
         // with the ones the definition above prescribes, and XOR is
         // associative — so this computes exactly the same fold with ~5x
-        // fewer history extractions (this runs 16x per perceptron lookup).
+        // fewer history extractions.
         let wide = (64 / out_bits) * out_bits;
         let mut acc = 0u64;
         let mut consumed = 0usize;
@@ -226,6 +328,31 @@ mod tests {
         }
         // Every addressable bit is now zero.
         assert_eq!(h.fold(MAX_HISTORY_BITS, 16), 0);
+    }
+
+    #[test]
+    fn registers_track_the_fold_across_the_horizon() {
+        let lens = history_lengths();
+        for width in [1, 5, 12, 32] {
+            let mut h = GlobalHistory::with_fold_width(width);
+            for i in 0..2 * MAX_HISTORY_BITS {
+                h.push((i * 7 + i / 5) % 3 == 0);
+                for (t, &len) in lens.iter().enumerate() {
+                    assert_eq!(
+                        h.folded(t),
+                        h.fold(len, width),
+                        "width {width} table {t} after {} pushes",
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fold width out of range")]
+    fn zero_fold_width_panics() {
+        let _ = GlobalHistory::with_fold_width(0);
     }
 
     #[test]

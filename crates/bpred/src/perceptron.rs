@@ -68,7 +68,6 @@ pub fn history_lengths() -> [usize; NUM_TABLES] {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashedPerceptron {
     tables: Vec<Vec<i8>>,
-    lens: [usize; NUM_TABLES],
     index_bits: usize,
     /// Adaptive training threshold (O-GEHL style).
     theta: i32,
@@ -99,7 +98,6 @@ impl HashedPerceptron {
         let entries = config.entries_per_table.next_power_of_two().max(64);
         HashedPerceptron {
             tables: vec![vec![0i8; entries]; NUM_TABLES],
-            lens: history_lengths(),
             index_bits: entries.trailing_zeros() as usize,
             theta: (1.93 * NUM_TABLES as f64 + 14.0) as i32,
             tc: 0,
@@ -112,13 +110,42 @@ impl HashedPerceptron {
         self.tables[0].len() * NUM_TABLES
     }
 
+    /// Width of the folded histories this predictor indexes with.
+    fn fold_bits(&self) -> usize {
+        self.index_bits.min(32)
+    }
+
+    /// An all-zero global history whose folded registers match this
+    /// predictor's index width. [`GlobalHistory::new`] matches only the
+    /// paper's 64 KB configuration.
+    ///
+    /// # Examples
+    /// ```
+    /// use btb_bpred::{HashedPerceptron, PerceptronConfig};
+    /// let p = HashedPerceptron::new(PerceptronConfig::with_size_kb(2));
+    /// let mut h = p.new_history();
+    /// h.push(true);
+    /// let _ = p.predict(0x4000, &h);
+    /// ```
+    #[must_use]
+    pub fn new_history(&self) -> GlobalHistory {
+        GlobalHistory::with_fold_width(self.fold_bits())
+    }
+
+    /// Panics unless `hist` folds to this predictor's index width: a
+    /// mismatched register would silently compute wrong indices.
+    #[inline]
+    fn check_history(&self, hist: &GlobalHistory) {
+        let (have, want) = (hist.fold_width(), self.fold_bits());
+        assert!(
+            have == want,
+            "global history folds to {have} bits but the perceptron indexes \
+             with {want} bits; build the history with HashedPerceptron::new_history"
+        );
+    }
+
     fn index(&self, table: usize, pc: u64, hist: &GlobalHistory) -> usize {
-        let len = self.lens[table];
-        let folded = if len == 0 {
-            0
-        } else {
-            hist.fold(len, self.index_bits.min(32))
-        };
+        let folded = hist.folded(table);
         // Mix the PC with a table-specific multiplier so tables decorrelate.
         let pc_hash =
             (pc >> 2).wrapping_mul(0x9e37_79b9_7f4a_7c15u64.wrapping_add(table as u64 * 2));
@@ -126,8 +153,13 @@ impl HashedPerceptron {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
+    ///
+    /// # Panics
+    /// Panics if `hist` was not built for this predictor's size (see
+    /// [`Self::new_history`]).
     #[must_use]
     pub fn predict(&self, pc: u64, hist: &GlobalHistory) -> PerceptronOutput {
+        self.check_history(hist);
         let mut sum = 0i32;
         for t in 0..NUM_TABLES {
             sum += i32::from(self.tables[t][self.index(t, pc, hist)]);
@@ -142,15 +174,17 @@ impl HashedPerceptron {
 
     /// Retire-time predict-then-train in one pass: returns exactly what
     /// [`Self::predict`] would, then trains exactly as [`Self::update`]
-    /// would — but computes each table index once instead of twice. The
-    /// folded-history indexing dominates both operations, so the combined
-    /// path roughly halves the predictor's retire cost.
+    /// would — but computes each table index once instead of twice.
+    ///
+    /// # Panics
+    /// Panics if `hist` was not built for this predictor's size.
     pub fn predict_and_train(
         &mut self,
         pc: u64,
         hist: &GlobalHistory,
         taken: bool,
     ) -> PerceptronOutput {
+        self.check_history(hist);
         let mut indices = [0usize; NUM_TABLES];
         let mut sum = 0i32;
         for (t, slot) in indices.iter_mut().enumerate() {
@@ -191,7 +225,11 @@ impl HashedPerceptron {
 
     /// Trains the predictor with the actual outcome. `output` must be the
     /// value returned by [`Self::predict`] for the same branch and history.
+    ///
+    /// # Panics
+    /// Panics if `hist` was not built for this predictor's size.
     pub fn update(&mut self, pc: u64, hist: &GlobalHistory, output: PerceptronOutput, taken: bool) {
+        self.check_history(hist);
         let mispredicted = output.taken != taken;
         if mispredicted || output.sum.abs() <= self.theta {
             for t in 0..NUM_TABLES {
@@ -226,7 +264,7 @@ mod tests {
     use super::*;
 
     fn run_pattern<F: FnMut(u64) -> bool>(p: &mut HashedPerceptron, n: usize, mut f: F) -> f64 {
-        let mut hist = GlobalHistory::new();
+        let mut hist = p.new_history();
         let mut correct = 0usize;
         for i in 0..n {
             let pc = 0x4000 + (i as u64 % 7) * 4;
@@ -300,7 +338,7 @@ mod tests {
         let mut small = HashedPerceptron::new(PerceptronConfig::with_size_kb(2));
         let gen = |i: u64| (i / 3) % 7 < 3;
         let acc = |p: &mut HashedPerceptron| {
-            let mut hist = GlobalHistory::new();
+            let mut hist = p.new_history();
             let mut correct = 0usize;
             let n = 30_000;
             for i in 0..n {

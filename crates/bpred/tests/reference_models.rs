@@ -1,7 +1,10 @@
 //! Reference-model tests for the predictor substrates: the folded history
-//! must equal a naive bit-vector fold, and the RAS must match a plain stack.
+//! must equal a naive bit-vector fold, each incrementally folded register
+//! must equal that fold, and the RAS must match a plain stack.
 
-use btb_bpred::{GlobalHistory, ReturnAddressStack};
+use btb_bpred::{
+    history_lengths, GlobalHistory, HashedPerceptron, PerceptronConfig, ReturnAddressStack,
+};
 use proptest::prelude::*;
 
 /// Naive reference: keep all outcomes in a Vec, fold by chunking.
@@ -38,6 +41,34 @@ proptest! {
         );
     }
 
+    /// Every index width from 6 to 16 bits (the Fig. 11b sweep yields 7–12,
+    /// `with_size_kb(1)` yields 6): after each push of a random sequence
+    /// long enough to cross all four history words and the 256-bit horizon,
+    /// every table's register equals the oracle fold of its length.
+    #[test]
+    fn folded_registers_match_fold_at_every_width(
+        width in 6usize..=16,
+        outcomes in proptest::collection::vec(any::<bool>(), 0..600),
+    ) {
+        let p = HashedPerceptron::new(PerceptronConfig { entries_per_table: 1 << width });
+        let mut h = p.new_history();
+        prop_assert_eq!(h.fold_width(), width);
+        let lens = history_lengths();
+        for (step, &b) in outcomes.iter().enumerate() {
+            h.push(b);
+            for (t, &len) in lens.iter().enumerate() {
+                prop_assert_eq!(
+                    h.folded(t),
+                    h.fold(len, width),
+                    "width {} table {} step {}",
+                    width,
+                    t,
+                    step
+                );
+            }
+        }
+    }
+
     #[test]
     fn ras_matches_reference_stack(
         ops in proptest::collection::vec((any::<bool>(), 0u64..1000), 1..200),
@@ -61,4 +92,11 @@ proptest! {
             prop_assert_eq!(ras.peek(), model.last().copied());
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "folds to 12 bits but the perceptron indexes with 7 bits")]
+fn mismatched_history_width_panics() {
+    let p = HashedPerceptron::new(PerceptronConfig::with_size_kb(2));
+    let _ = p.predict(0x4000, &GlobalHistory::new());
 }

@@ -34,15 +34,16 @@ impl Predictors {
     /// Creates the predictors from a pipeline configuration.
     #[must_use]
     pub fn new(config: &PipelineConfig) -> Self {
+        let perceptron = HashedPerceptron::new(config.perceptron);
         Predictors {
-            perceptron: HashedPerceptron::new(config.perceptron),
-            ghist: GlobalHistory::new(),
+            ghist: perceptron.new_history(),
+            plan_hist: perceptron.new_history(),
+            perceptron,
             indirect: IndirectPredictor::new(config.indirect_entries),
             phist: PathHistory::new(),
             ras: ReturnAddressStack::new(config.ras_entries),
             overlay: Vec::new(),
             overlay_pops: 0,
-            plan_hist: GlobalHistory::new(),
         }
     }
 
@@ -50,7 +51,7 @@ impl Predictors {
     pub fn begin_plan(&mut self) {
         self.overlay.clear();
         self.overlay_pops = 0;
-        self.plan_hist = self.ghist.clone();
+        self.plan_hist.clone_from(&self.ghist);
     }
 
     /// Retire-time training with the actual outcome of a branch record
