@@ -110,10 +110,15 @@ impl FuPool {
 /// A ring of the last `capacity` values, indexed by a monotonically
 /// increasing counter — models a finite in-order queue: the `i`-th entry
 /// may enter only after the `(i - capacity)`-th left.
+///
+/// `head` is `count mod capacity`, kept by a compare-and-wrap so no admit
+/// or push divides (Table 1's queue sizes are not all powers of two).
 #[derive(Debug, Clone)]
 pub struct QueueRing {
     slots: Vec<u64>,
-    count: u64,
+    head: usize,
+    /// Set once `capacity` entries have been pushed.
+    full: bool,
 }
 
 impl QueueRing {
@@ -122,26 +127,32 @@ impl QueueRing {
     pub fn new(capacity: usize) -> Self {
         QueueRing {
             slots: vec![0; capacity.max(1)],
-            count: 0,
+            head: 0,
+            full: false,
         }
     }
 
     /// The earliest cycle the next entry may enter the queue (the leave
     /// cycle of the entry `capacity` positions back).
+    #[inline]
     #[must_use]
     pub fn admit_bound(&self) -> u64 {
-        if (self.count as usize) < self.slots.len() {
-            0
+        if self.full {
+            self.slots[self.head]
         } else {
-            self.slots[(self.count as usize) % self.slots.len()]
+            0
         }
     }
 
     /// Records the leave cycle of the entry being admitted now.
+    #[inline]
     pub fn push_leave(&mut self, leave_cycle: u64) {
-        let idx = (self.count as usize) % self.slots.len();
-        self.slots[idx] = leave_cycle;
-        self.count += 1;
+        self.slots[self.head] = leave_cycle;
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+            self.full = true;
+        }
     }
 }
 
@@ -394,6 +405,31 @@ mod tests {
         assert_eq!(q.admit_bound(), 10);
         q.push_leave(30);
         assert_eq!(q.admit_bound(), 20);
+    }
+
+    /// The compare-and-wrap ring against a `VecDeque` holding the last
+    /// `capacity` leave cycles, over more than three full wraps at
+    /// Table 1's queue sizes and the degenerate ones.
+    #[test]
+    fn queue_ring_matches_vecdeque_model() {
+        use std::collections::VecDeque;
+        for cap in [1usize, 3, 64, 72, 352, 8192] {
+            let mut ring = QueueRing::new(cap);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut x = 0x9e37_79b9_u64 ^ cap as u64;
+            for i in 0..3 * cap + 7 {
+                let want = if model.len() < cap { 0 } else { model[0] };
+                assert_eq!(ring.admit_bound(), want, "cap {cap} push {i}");
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ring.push_leave(x);
+                model.push_back(x);
+                if model.len() > cap {
+                    model.pop_front();
+                }
+            }
+        }
     }
 
     #[test]

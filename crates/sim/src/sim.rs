@@ -116,6 +116,9 @@ impl<I: Iterator<Item = TraceRecord>> Lookahead<I> {
 struct ReleaseRing {
     slots: Vec<u64>,
     pushed: usize,
+    /// Slot of the next push: `pushed mod capacity`, kept by a
+    /// compare-and-wrap so no push or lookup divides.
+    head: usize,
 }
 
 impl ReleaseRing {
@@ -123,6 +126,7 @@ impl ReleaseRing {
         ReleaseRing {
             slots: vec![0; capacity.max(1)],
             pushed: 0,
+            head: 0,
         }
     }
 
@@ -134,9 +138,12 @@ impl ReleaseRing {
 
     #[inline]
     fn push(&mut self, release: u64) {
-        let cap = self.slots.len();
-        self.slots[self.pushed % cap] = release;
+        self.slots[self.head] = release;
         self.pushed += 1;
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+        }
     }
 
     /// Release cycle of absolute entry `idx`; must be within the retained
@@ -147,7 +154,14 @@ impl ReleaseRing {
             idx < self.pushed && idx + self.slots.len() >= self.pushed,
             "release index {idx} outside retained window"
         );
-        self.slots[idx % self.slots.len()]
+        // `idx` lies 1..=capacity entries behind the head.
+        let back = self.pushed - idx;
+        let slot = if back <= self.head {
+            self.head - back
+        } else {
+            self.head + self.slots.len() - back
+        };
+        self.slots[slot]
     }
 
     /// Entries still occupied at `cycle` (release cycle in the future)
@@ -1011,6 +1025,42 @@ mod tests {
     use super::*;
     use btb_core::OrgKind;
     use btb_trace::WorkloadProfile;
+
+    /// The compare-and-wrap FTQ ring against a `VecDeque` of the last
+    /// `capacity` release cycles, over more than three full wraps: the
+    /// newest, oldest and one pseudo-random retained entry after each push,
+    /// and the occupancy scan at a few points per wrap.
+    #[test]
+    fn release_ring_matches_vecdeque_model() {
+        use std::collections::VecDeque;
+        for cap in [1usize, 3, 64, 72, 352, 8192] {
+            let mut ring = ReleaseRing::new(cap);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut x = 0x2545_f491_u64 ^ cap as u64;
+            for i in 0..3 * cap + 7 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let release = x % 1000;
+                ring.push(release);
+                model.push_back(release);
+                if model.len() > cap {
+                    model.pop_front();
+                }
+                let pushed = i + 1;
+                assert_eq!(ring.pushed(), pushed);
+                let oldest = pushed - model.len();
+                let mid = oldest + (x as usize >> 20) % model.len();
+                for idx in [pushed - 1, oldest, mid] {
+                    assert_eq!(ring.get(idx), model[idx - oldest], "cap {cap} idx {idx}");
+                }
+                if i % (cap / 4 + 1) == 0 {
+                    let occupied = model.iter().filter(|&&r| r > 500).count();
+                    assert_eq!(ring.occupancy_at(500), occupied, "cap {cap} push {i}");
+                }
+            }
+        }
+    }
 
     fn ideal_ibtb16() -> BtbConfig {
         BtbConfig::ideal(
