@@ -37,17 +37,19 @@ struct Mshr {
 
 /// One cache level: exact tags + MSHR timing.
 ///
-/// Tags are stored structure-of-arrays (`tags` / `last_use` parallel
-/// vectors, `last_use == 0` marking an empty way) so the per-access way scan
-/// runs over packed `u64`s — the same layout `btb_core::SetAssoc` uses, and
-/// for the same reason: this scan executes several times per simulated
-/// instruction (ITLB + L1I on the fetch path, DTLB + L1D per load).
+/// Tags are stored structure-of-arrays (`keys` / `last_use` parallel
+/// vectors) so the per-access way scan runs over one packed `u64` array —
+/// the same layout `btb_core::SetAssoc` uses, and for the same reason: this
+/// scan executes several times per simulated instruction (ITLB + L1I on the
+/// fetch path, DTLB + L1D per load). Each way's key is `line + 1`, so 0
+/// marks an empty way and a lookup compares keys alone.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Tag of each way, valid only where `last_use != 0`.
-    tags: Vec<u64>,
-    /// Recency tick per way; 0 marks an empty way (real ticks start at 1).
+    /// `line + 1` of each way; 0 marks an empty way.
+    keys: Vec<u64>,
+    /// Recency tick per way for LRU; 0 exactly where the way is empty
+    /// (real ticks start at 1).
     last_use: Vec<u64>,
     mshrs: Vec<Mshr>,
     tick: u64,
@@ -69,7 +71,7 @@ impl Cache {
         assert!(config.ways > 0, "ways must be non-zero");
         assert!(config.mshrs > 0, "mshr count must be non-zero");
         Cache {
-            tags: vec![0; config.sets * config.ways],
+            keys: vec![0; config.sets * config.ways],
             last_use: vec![0; config.sets * config.ways],
             mshrs: Vec::with_capacity(config.mshrs),
             tick: 0,
@@ -107,14 +109,12 @@ impl Cache {
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         let range = self.set_range(line);
-        let tags = &self.tags[range.clone()];
-        let uses = &self.last_use[range.clone()];
-        for (i, (&tag, &used)) in tags.iter().zip(uses).enumerate() {
-            if used != 0 && tag == line {
-                return Some(range.start + i);
-            }
-        }
-        None
+        let start = range.start;
+        let key = line + 1;
+        self.keys[range]
+            .iter()
+            .position(|&k| k == key)
+            .map(|i| start + i)
     }
 
     /// Whether `line` is present (no state change).
@@ -158,7 +158,7 @@ impl Cache {
                 victim = i;
             }
         }
-        self.tags[victim] = line;
+        self.keys[victim] = line + 1;
         self.last_use[victim] = tick;
     }
 
