@@ -1,36 +1,9 @@
-//! Shared helpers for the Criterion benches that regenerate each
-//! table/figure of the paper at reduced scale.
-//!
-//! The benches exist to (a) keep every experiment's code path exercised by
-//! `cargo bench --workspace` and (b) report how long each figure takes to
-//! regenerate. For paper-scale numbers run the `figures` binary of
-//! `btb-harness` (see EXPERIMENTS.md).
+//! Support code for the `bench` binary, which times every experiment of the
+//! figures pipeline per phase and diffs the result against a committed
+//! `BENCH_*.json`. For paper-scale numbers run the `figures` binary of
+//! `btb-harness` (see EXPERIMENTS.md); for repeated, interleaved end-to-end
+//! and per-layer measurements run `perfledger`.
 
 #![warn(missing_docs)]
 
 pub mod compare;
-
-use btb_harness::{Scale, Suite};
-use btb_sim::SimReport;
-
-/// The reduced scale every bench runs at.
-#[must_use]
-pub fn bench_scale() -> Scale {
-    Scale {
-        insts: 60_000,
-        warmup: 20_000,
-        workloads: 2,
-    }
-}
-
-/// Generates the bench suite (two workloads, 60K instructions).
-#[must_use]
-pub fn bench_suite() -> Suite {
-    Suite::generate(bench_scale())
-}
-
-/// Baseline reports for the bench suite.
-#[must_use]
-pub fn bench_baseline(suite: &Suite) -> Vec<SimReport> {
-    btb_harness::experiments::baseline_reports(suite)
-}
