@@ -8,7 +8,11 @@ use btb_check::infer::{
     infer_config, infer_config_by_name, infer_configs, infer_target, InferFault, InferOptions,
     SkewedUpdates,
 };
-use btb_core::build_btb;
+use btb_core::{
+    build_btb, BranchProbe, BtbConfig, BtbInspection, BtbOrganization, BtbState, FetchPlan,
+    PredictionProvider,
+};
+use btb_trace::{Addr, TraceRecord};
 
 fn quick() -> InferOptions {
     InferOptions { thorough: false }
@@ -126,4 +130,61 @@ fn thorough_mode_reproduces_the_quick_verdict() {
     );
     let quick_report = infer_config(&config, InferFault::None, &quick());
     assert_eq!(thorough.recovered, quick_report.recovered);
+}
+
+/// Forwards everything to the wrapped organization except `dump_state`,
+/// whose L1 lists one set fewer than the structure has.
+struct ShortDump(Box<dyn BtbOrganization>);
+
+impl BtbOrganization for ShortDump {
+    fn config(&self) -> &BtbConfig {
+        self.0.config()
+    }
+
+    fn plan(&mut self, pc: Addr, oracle: &mut dyn PredictionProvider) -> FetchPlan {
+        self.0.plan(pc, oracle)
+    }
+
+    fn update(&mut self, rec: &TraceRecord) {
+        self.0.update(rec);
+    }
+
+    fn inspect(&self) -> BtbInspection {
+        self.0.inspect()
+    }
+
+    fn probe_branch(&self, pc: Addr) -> Option<BranchProbe> {
+        self.0.probe_branch(pc)
+    }
+
+    fn dump_state(&self) -> BtbState {
+        let mut state = self.0.dump_state();
+        state.l1.sets.pop();
+        state
+    }
+
+    fn clone_box(&self) -> Box<dyn BtbOrganization> {
+        Box::new(ShortDump(self.0.clone_box()))
+    }
+}
+
+#[test]
+fn state_dump_set_count_disagreement_is_an_anomaly() {
+    for config in infer_configs() {
+        let target = Box::new(ShortDump(build_btb(config.clone())));
+        let report = infer_target(&config, target, &quick());
+        let sets = report.recovered.sets;
+        let want = format!(
+            "state dump reports {} L1 sets, inference recovered {sets}",
+            sets - 1
+        );
+        assert!(
+            report.anomalies.contains(&want),
+            "{}: anomalies {:?}",
+            config.name,
+            report.anomalies
+        );
+        assert!(report.mismatches.is_empty(), "{}", config.name);
+        assert!(!report.clean(), "{}", config.name);
+    }
 }

@@ -223,3 +223,62 @@ fn skp_always_fills_its_width() {
     assert_eq!(plan.fetch_pcs(), 16);
     assert_eq!(plan.segments.len(), 16, "each jump opens a new segment");
 }
+
+/// The state dump lists every L1 set whatever it holds, so its set count
+/// is a property of the geometry, not of the contents. Black-box inference
+/// (`btb-check`) reads that count from the empty organization before
+/// probing; this pins that the filled organization reports the same.
+#[test]
+fn dump_set_count_does_not_depend_on_contents() {
+    let kinds = [
+        OrgKind::Instruction {
+            width: 16,
+            skip_taken: false,
+        },
+        OrgKind::Region {
+            region_bytes: 64,
+            slots: 2,
+            dual_interleave: true,
+        },
+        OrgKind::Block {
+            block_insts: 16,
+            slots: 2,
+            split: true,
+        },
+        OrgKind::RegionOverflow {
+            region_bytes: 64,
+            slots: 2,
+            overflow_entries: 64,
+        },
+        OrgKind::HeteroBlockRegion {
+            block_insts: 16,
+            l1_slots: 2,
+            split: true,
+            region_bytes: 64,
+            l2_slots: 4,
+        },
+        OrgKind::MultiBlock {
+            block_insts: 16,
+            slots: 2,
+            pull: PullPolicy::AllBranches,
+            stability_threshold: 2,
+            allow_last_slot_pull: false,
+        },
+    ];
+    let trace = btb_trace::Trace::generate(&btb_trace::WorkloadProfile::tiny(4), 20_000);
+    for kind in kinds {
+        let mut btb = build_btb(BtbConfig::realistic("filled", kind));
+        let empty = btb.dump_state();
+        assert_eq!(empty.l1.entries(), 0, "{kind:?} starts empty");
+        for r in &trace.records {
+            btb.update(r);
+        }
+        let filled = btb.dump_state();
+        assert!(filled.l1.entries() > 0, "{kind:?} was filled");
+        assert_eq!(
+            filled.l1.sets.len(),
+            empty.l1.sets.len(),
+            "{kind:?}: L1 set count changed with contents"
+        );
+    }
+}

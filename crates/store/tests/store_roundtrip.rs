@@ -91,28 +91,67 @@ fn report_roundtrip_is_exact() {
 
 #[test]
 fn corrupted_payload_is_a_miss_and_removed() {
-    let dir = ScratchDir::new("corrupt");
-    let store = Store::open(&dir.0).expect("open");
+    // Object header: 8 magic + 1 kind + 8 length + 32 checksum bytes. The
+    // payload is a trace stream: 8 magic + 4 version + 4 name length + the
+    // name, then chunks of a 4-byte record count and 31-byte records.
+    const HEADER_LEN: usize = 49;
     let profile = WorkloadProfile::tiny(3);
     let trace = Trace::generate(&profile, 2_000);
-    store.put_trace(&profile, 2_000, &trace);
+    let chunk_count_at = HEADER_LEN + 16 + trace.name.len();
+    // (what, file offset, xor mask) for an object of `len` bytes.
+    let flips = |len: usize| {
+        [
+            ("first payload byte", HEADER_LEN, 0xff),
+            // The low byte of the first record's pc: the record still
+            // decodes, so only the checksum can catch it.
+            ("a pc byte that still decodes", chunk_count_at + 4, 0x04),
+            // Lifts the count far above a chunk's 4096 records.
+            ("a chunk count", chunk_count_at + 2, 0xff),
+            ("last byte", len - 1, 0xff),
+        ]
+    };
+    for case in 0..4 {
+        let dir = ScratchDir::new("corrupt");
+        let store = Store::open(&dir.0).expect("open");
+        store.put_trace(&profile, 2_000, &trace);
 
-    // Flip one payload byte in the single stored object.
-    let path = find_only_object(&dir.0);
-    let mut bytes = std::fs::read(&path).expect("read object");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    std::fs::write(&path, bytes).expect("rewrite object");
+        let path = find_only_object(&dir.0);
+        let mut bytes = std::fs::read(&path).expect("read object");
+        let (what, at, mask) = flips(bytes.len())[case];
+        bytes[at] ^= mask;
+        std::fs::write(&path, bytes).expect("rewrite object");
 
-    assert!(
-        store.get_trace(&profile, 2_000).is_none(),
-        "checksum mismatch must be a miss, not a panic"
-    );
-    assert!(!path.exists(), "corrupt entry must be unlinked");
+        assert!(
+            store.get_trace(&profile, 2_000).is_none(),
+            "{what} (offset {at}) flipped: checksum mismatch must be a miss, not a panic"
+        );
+        assert!(!path.exists(), "corrupt entry must be unlinked ({what})");
+        let c = store.take_counters();
+        assert_eq!((c.trace_hits, c.trace_misses), (0, 1), "{what}");
 
-    // The slot is reusable after corruption.
-    store.put_trace(&profile, 2_000, &trace);
-    assert_eq!(store.get_trace(&profile, 2_000).as_ref(), Some(&trace));
+        // The slot is reusable after corruption.
+        store.put_trace(&profile, 2_000, &trace);
+        assert_eq!(store.get_trace(&profile, 2_000).as_ref(), Some(&trace));
+    }
+}
+
+#[test]
+fn checksummed_but_undecodable_trace_is_a_miss_and_removed() {
+    let dir = ScratchDir::new("undecodable");
+    let store = Store::open(&dir.0).expect("open");
+    let profile = WorkloadProfile::tiny(3);
+    let trace = Trace::generate(&profile, 500);
+    let mut payload = btb_store::codec::encode_trace(&trace);
+    payload.push(0); // trailing byte after the terminator chunk
+    let key = trace_key(&profile, 500);
+    for payload in [&payload[..], b"not a trace stream"] {
+        store.put_raw(&key, Kind::Trace, payload).expect("put raw");
+        let path = find_only_object(&dir.0);
+        assert!(store.get_trace(&profile, 500).is_none());
+        assert!(!path.exists(), "undecodable entry must be unlinked");
+        let c = store.take_counters();
+        assert_eq!((c.trace_hits, c.trace_misses), (0, 1));
+    }
 }
 
 #[test]
@@ -209,6 +248,34 @@ fn streamed_put_is_readable_by_materialized_get_and_vice_versa() {
     assert_eq!(stream.name(), &*trace.name);
     let replayed: Vec<_> = stream.map(|r| r.expect("verified record")).collect();
     assert_eq!(replayed, trace.records);
+}
+
+#[test]
+fn stream_skip_matches_stepping_record_by_record() {
+    // Writers flush a chunk every 4096 records.
+    const CHUNK: usize = 4096;
+    let dir = ScratchDir::new("stream-skip");
+    let store = Store::open(&dir.0).expect("open");
+    let profile = WorkloadProfile::tiny(5);
+    let n = 2 * CHUNK + 300;
+    let trace = Trace::generate(&profile, n);
+    store.put_trace(&profile, n, &trace);
+    for skip in [
+        0,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        CHUNK + 1234,
+        n - 1,
+        n,
+        n + 10,
+    ] {
+        let mut stream = store.open_trace_stream(&profile, n).expect("open");
+        let skipped = stream.skip_records(skip as u64).expect("skip");
+        assert_eq!(skipped as usize, skip.min(n), "skip {skip}");
+        let rest: Vec<_> = stream.map(|r| r.expect("record")).collect();
+        assert_eq!(rest, trace.records[skip.min(n)..], "skip {skip}");
+    }
 }
 
 #[test]

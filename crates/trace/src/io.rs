@@ -7,12 +7,17 @@
 //! straight off a live record iterator, and a [`TraceReader`] replays a
 //! stored trace record-by-record — neither side ever materializes the
 //! trace, so encoding and replay run in O(chunk) memory at any trace
-//! length. [`write_trace`]/[`read_trace`] are the whole-trace conveniences
-//! built on top.
+//! length. The reader pulls each chunk with one `read_exact` into a reused
+//! buffer and decodes from there. A chunk header claiming more than the
+//! 4096 records every writer flushes at is rejected before anything is
+//! buffered, so a hostile count cannot drive the allocation. Over a
+//! seekable source, [`TraceReader::skip_records`] seeks past whole chunks
+//! by their count headers without decoding them. [`write_trace`] and
+//! [`read_trace`] are the whole-trace conveniences built on top.
 
 use crate::exec::Trace;
 use crate::record::{BranchKind, Op, TraceRecord};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 const MAGIC: &[u8; 8] = b"BTBTRACE";
 
@@ -28,7 +33,9 @@ const VERSION: u32 = TRACE_FORMAT_VERSION;
 /// Serialized size of one record.
 const RECORD_BYTES: usize = 31;
 
-/// Records per chunk (~127 KiB of buffered encode per chunk).
+/// Records per chunk (~127 KiB of buffered encode per chunk). Writers
+/// flush at exactly this many records, and readers reject a chunk header
+/// that claims more.
 const CHUNK_RECORDS: usize = 4096;
 
 /// Errors produced while reading a trace stream.
@@ -216,15 +223,18 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// Streaming trace decoder: validates the header eagerly, then yields
-/// records one chunk at a time. The iterator produces
+/// records one chunk at a time. Each chunk body is read with a single
+/// `read_exact` into a buffer reused across chunks. The iterator produces
 /// `Result<TraceRecord, ReadTraceError>`; after the first error it fuses
 /// to `None`.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
     name: String,
-    /// Records remaining in the current chunk.
-    remaining: u32,
+    /// Encoded records of the current chunk.
+    chunk: Vec<u8>,
+    /// Byte offset in `chunk` of the next record to hand out.
+    pos: usize,
     /// Terminator seen (clean end of stream) or an error already yielded.
     done: bool,
 }
@@ -257,7 +267,8 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             source,
             name,
-            remaining: 0,
+            chunk: Vec::new(),
+            pos: 0,
             done: false,
         })
     }
@@ -268,20 +279,86 @@ impl<R: Read> TraceReader<R> {
         &self.name
     }
 
+    /// Reads the next chunk header: its record count, 0 at the terminator.
+    fn read_count(&mut self) -> Result<u32, ReadTraceError> {
+        let mut u32buf = [0u8; 4];
+        self.source.read_exact(&mut u32buf)?;
+        let count = u32::from_le_bytes(u32buf);
+        if count as usize > CHUNK_RECORDS {
+            return Err(ReadTraceError::Corrupt("chunk count"));
+        }
+        Ok(count)
+    }
+
+    /// Reads the body of a `count`-record chunk into the buffer.
+    fn fill_chunk(&mut self, count: u32) -> Result<(), ReadTraceError> {
+        self.chunk.resize(count as usize * RECORD_BYTES, 0);
+        self.pos = 0;
+        self.source.read_exact(&mut self.chunk)?;
+        Ok(())
+    }
+
     fn next_record(&mut self) -> Result<Option<TraceRecord>, ReadTraceError> {
-        while self.remaining == 0 {
-            let mut u32buf = [0u8; 4];
-            self.source.read_exact(&mut u32buf)?;
-            let count = u32::from_le_bytes(u32buf);
+        if self.pos == self.chunk.len() {
+            let count = self.read_count()?;
             if count == 0 {
                 return Ok(None);
             }
-            self.remaining = count;
+            self.fill_chunk(count)?;
         }
-        let mut buf = [0u8; RECORD_BYTES];
-        self.source.read_exact(&mut buf)?;
-        self.remaining -= 1;
-        decode_record(&buf).map(Some)
+        let end = self.pos + RECORD_BYTES;
+        let rec = decode_record(self.chunk[self.pos..end].try_into().expect("record len"));
+        self.pos = end;
+        rec.map(Some)
+    }
+}
+
+impl<R: Read + Seek> TraceReader<R> {
+    /// Skips up to `n` records, leaving the reader exactly where `n` calls
+    /// of `next()` would. Whole chunks are sought over using their count
+    /// headers, so skipped records are neither read nor decoded (nor
+    /// validated: use this on streams whose integrity is already
+    /// established). Returns the number of records skipped, which is less
+    /// than `n` only when the stream ends first.
+    ///
+    /// # Errors
+    /// Returns [`ReadTraceError`] on I/O failure or a corrupt chunk header;
+    /// the reader then fuses like the iterator does.
+    pub fn skip_records(&mut self, n: u64) -> Result<u64, ReadTraceError> {
+        if self.done {
+            return Ok(0);
+        }
+        let result = self.skip_inner(n);
+        if result.is_err() {
+            self.done = true;
+        }
+        result
+    }
+
+    fn skip_inner(&mut self, n: u64) -> Result<u64, ReadTraceError> {
+        let buffered = ((self.chunk.len() - self.pos) / RECORD_BYTES) as u64;
+        let mut skipped = buffered.min(n);
+        self.pos += skipped as usize * RECORD_BYTES;
+        while skipped < n {
+            let count = self.read_count()?;
+            if count == 0 {
+                self.done = true;
+                break;
+            }
+            let left = n - skipped;
+            if u64::from(count) <= left {
+                let body = i64::from(count) * RECORD_BYTES as i64;
+                self.source.seek(SeekFrom::Current(body))?;
+                self.chunk.clear();
+                self.pos = 0;
+                skipped += u64::from(count);
+            } else {
+                self.fill_chunk(count)?;
+                self.pos = left as usize * RECORD_BYTES;
+                skipped = n;
+            }
+        }
+        Ok(skipped)
     }
 }
 
@@ -422,6 +499,85 @@ mod tests {
         let reader = TraceReader::new(buf.as_slice()).expect("header");
         let last = reader.last().expect("at least one item");
         assert!(matches!(last, Err(ReadTraceError::Io(_))));
+    }
+
+    #[test]
+    fn oversized_chunk_count_is_rejected_before_buffering() {
+        let mut buf = Vec::new();
+        TraceWriter::new(&mut buf, "hostile").expect("header");
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = TraceReader::new(buf.as_slice()).expect("header");
+        let err = reader.next().expect("one item").unwrap_err();
+        assert!(
+            matches!(err, ReadTraceError::Corrupt("chunk count")),
+            "{err}"
+        );
+        assert!(reader.chunk.capacity() < RECORD_BYTES, "nothing buffered");
+        assert!(reader.next().is_none(), "reader fuses after the error");
+
+        // One record over the writers' flush size is just as corrupt.
+        let mut buf = Vec::new();
+        TraceWriter::new(&mut buf, "hostile").expect("header");
+        buf.extend_from_slice(&(CHUNK_RECORDS as u32 + 1).to_le_bytes());
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, ReadTraceError::Corrupt("chunk count")));
+    }
+
+    #[test]
+    fn skip_records_matches_repeated_next() {
+        let n = CHUNK_RECORDS * 2 + 137;
+        let t = Trace::generate(&WorkloadProfile::tiny(9), n);
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &t).expect("write");
+        let c = CHUNK_RECORDS;
+        let positions = [
+            0,
+            1,
+            c - 1,
+            c,
+            c + 1,
+            c + c / 2,
+            2 * c - 1,
+            2 * c,
+            2 * c + 1,
+            n - 1,
+            n,
+            n + 1,
+            n + 5000,
+        ];
+        for first in [0usize, 3, c - 1, c] {
+            for &skip in &positions {
+                let mut stepped = TraceReader::new(io::Cursor::new(&buf)).expect("header");
+                let mut sought = TraceReader::new(io::Cursor::new(&buf)).expect("header");
+                for _ in 0..first {
+                    stepped.next();
+                    sought.next();
+                }
+                let mut stepped_over = 0u64;
+                for _ in 0..skip {
+                    if stepped.next().is_some() {
+                        stepped_over += 1;
+                    }
+                }
+                let got = sought.skip_records(skip as u64).expect("skip");
+                assert_eq!(got, stepped_over, "skip {skip} after {first}");
+                assert_eq!(got as usize, skip.min(n.saturating_sub(first)));
+                let rest_stepped: Vec<_> = stepped.map(|r| r.expect("record")).collect();
+                let rest_sought: Vec<_> = sought.map(|r| r.expect("record")).collect();
+                assert_eq!(rest_sought, rest_stepped, "skip {skip} after {first}");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_records_reports_a_corrupt_chunk_header() {
+        let mut buf = Vec::new();
+        TraceWriter::new(&mut buf, "hostile").expect("header");
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = TraceReader::new(io::Cursor::new(buf)).expect("header");
+        let err = reader.skip_records(10).unwrap_err();
+        assert!(matches!(err, ReadTraceError::Corrupt("chunk count")));
+        assert!(reader.next().is_none(), "reader fuses after the error");
     }
 
     #[test]

@@ -2,8 +2,63 @@
 //! CVP-1 workloads (branch mix, dynamic basic-block size, touched code
 //! footprint) and that we use to calibrate the synthetic generator.
 
-use crate::record::{BranchKind, TraceRecord};
+use crate::record::{BranchKind, Op, TraceRecord};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Every branch kind, in declaration order, so `kind as usize` indexes it.
+const KINDS: [BranchKind; 6] = [
+    BranchKind::CondDirect,
+    BranchKind::UncondDirect,
+    BranchKind::DirectCall,
+    BranchKind::IndirectJump,
+    BranchKind::IndirectCall,
+    BranchKind::Return,
+];
+
+/// Multiplicative hasher for the `u64` PC and line keys of the statistics
+/// maps: one multiply per key instead of SipHash. The maps are only
+/// summed, never iterated in an order that reaches the output.
+#[derive(Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("statistics keys are u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci multiplicative hash; the xor-shift folds the well-mixed
+        // high bits into the low bits hashbrown takes its bucket index from
+        // (PCs are 4-byte aligned, so a bare product has zero low bits).
+        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 29);
+    }
+}
+
+type PcMap<V> = HashMap<u64, V, BuildHasherDefault<PcHasher>>;
+type PcSet = HashSet<u64, BuildHasherDefault<PcHasher>>;
+
+/// Running per-PC behaviour of one static branch site. A PC seen under
+/// several kinds keeps each kind's counts apart, as separate per-kind maps
+/// would.
+#[derive(Default)]
+struct Site {
+    /// Conditional executions and how many of them were taken.
+    cond_execs: u64,
+    cond_taken: u64,
+    /// Non-return indirect executions, their first target, and whether any
+    /// later one used a different target.
+    indirect_execs: u64,
+    first_target: u64,
+    multi_target: bool,
+    /// Observed taken at least once, under any kind.
+    taken: bool,
+}
 
 /// Aggregate statistics over a dynamic trace.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -38,7 +93,10 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics over a record slice.
+    /// Computes statistics over a record slice in one pass. Code lines are
+    /// recorded only when the line changes, and every branch site keeps its
+    /// running conditional and indirect outcomes in one per-PC entry that
+    /// is folded into the site-level counts once at the end.
     ///
     /// # Examples
     /// ```
@@ -54,61 +112,61 @@ impl TraceStats {
             instructions: records.len() as u64,
             ..TraceStats::default()
         };
-        let mut lines = HashSet::new();
-        let mut taken_pcs = HashSet::new();
-        // First pass: per-PC observed behaviour.
-        let mut cond_taken: HashMap<u64, (u64, u64)> = HashMap::new(); // pc -> (exec, taken)
-        let mut ind_targets: HashMap<u64, HashSet<u64>> = HashMap::new();
+        let mut lines = PcSet::default();
+        let mut last_line = u64::MAX;
+        let mut sites: PcMap<Site> = PcMap::default();
+        let mut by_kind = [0u64; KINDS.len()];
         for r in records {
-            lines.insert(r.pc / 64);
-            match r.branch_kind() {
-                Some(BranchKind::CondDirect) => {
-                    let e = cond_taken.entry(r.pc).or_insert((0, 0));
-                    e.0 += 1;
-                    if r.taken {
-                        e.1 += 1;
-                    }
-                }
-                Some(k) if k.is_indirect() && k != BranchKind::Return => {
-                    ind_targets.entry(r.pc).or_default().insert(r.target);
-                }
-                _ => {}
+            let line = r.pc / 64;
+            if line != last_line {
+                lines.insert(line);
+                last_line = line;
             }
-        }
-        for r in records {
             match r.op {
-                crate::record::Op::Load => s.loads += 1,
-                crate::record::Op::Store => s.stores += 1,
-                _ => {}
-            }
-            let Some(kind) = r.branch_kind() else {
-                continue;
-            };
-            s.branches += 1;
-            *s.by_kind.entry(kind).or_insert(0) += 1;
-            if r.taken {
-                s.taken_branches += 1;
-                taken_pcs.insert(r.pc);
-            }
-            match kind {
-                BranchKind::CondDirect => {
-                    let (_exec, taken) = cond_taken[&r.pc];
-                    if taken == 0 {
-                        s.never_taken_cond += 1;
-                    } else if taken == cond_taken[&r.pc].0 {
-                        s.always_taken_cond += 1;
+                Op::Load => s.loads += 1,
+                Op::Store => s.stores += 1,
+                Op::Branch(kind) => {
+                    by_kind[kind as usize] += 1;
+                    s.taken_branches += u64::from(r.taken);
+                    let site = sites.entry(r.pc).or_default();
+                    site.taken |= r.taken;
+                    match kind {
+                        BranchKind::CondDirect => {
+                            site.cond_execs += 1;
+                            site.cond_taken += u64::from(r.taken);
+                        }
+                        BranchKind::IndirectJump | BranchKind::IndirectCall => {
+                            if site.indirect_execs == 0 {
+                                site.first_target = r.target;
+                            } else if r.target != site.first_target {
+                                site.multi_target = true;
+                            }
+                            site.indirect_execs += 1;
+                        }
+                        _ => {}
                     }
-                }
-                BranchKind::IndirectJump | BranchKind::IndirectCall
-                    if ind_targets[&r.pc].len() == 1 =>
-                {
-                    s.single_target_indirect += 1;
                 }
                 _ => {}
             }
         }
+        for site in sites.values() {
+            if site.cond_taken == 0 {
+                s.never_taken_cond += site.cond_execs;
+            } else if site.cond_taken == site.cond_execs {
+                s.always_taken_cond += site.cond_execs;
+            }
+            if !site.multi_target {
+                s.single_target_indirect += site.indirect_execs;
+            }
+            s.distinct_taken_branch_pcs += u64::from(site.taken);
+        }
+        s.branches = by_kind.iter().sum();
+        s.by_kind = KINDS
+            .into_iter()
+            .zip(by_kind)
+            .filter(|&(_, n)| n > 0)
+            .collect();
         s.code_lines_touched = lines.len() as u64;
-        s.distinct_taken_branch_pcs = taken_pcs.len() as u64;
         s.avg_dyn_bb_size = if s.branches == 0 {
             s.instructions as f64
         } else {
@@ -166,15 +224,30 @@ fn ratio(n: u64, d: u64) -> f64 {
 
 /// Returns the static code bytes needed to cover `frac` of the dynamic
 /// instructions, reproducing the paper's "138 KB for 90%" style metric.
+/// One pass: consecutive records on the same line are counted as one run
+/// and added to the line's total only when the line changes.
 #[must_use]
 pub fn footprint_for_coverage(records: &[TraceRecord], frac: f64) -> u64 {
-    let mut line_counts: HashMap<u64, u64> = HashMap::new();
+    let mut line_counts: PcMap<u64> = PcMap::default();
+    let mut run_line = u64::MAX;
+    let mut run = 0u64;
     for r in records {
-        *line_counts.entry(r.pc / 64).or_insert(0) += 1;
+        let line = r.pc / 64;
+        if line != run_line {
+            if run > 0 {
+                *line_counts.entry(run_line).or_insert(0) += run;
+            }
+            run_line = line;
+            run = 0;
+        }
+        run += 1;
     }
-    let mut counts: Vec<u64> = line_counts.values().copied().collect();
+    if run > 0 {
+        *line_counts.entry(run_line).or_insert(0) += run;
+    }
+    let mut counts: Vec<u64> = line_counts.into_values().collect();
     counts.sort_unstable_by(|a, b| b.cmp(a));
-    let total: u64 = counts.iter().sum();
+    let total = records.len() as u64;
     let goal = (total as f64 * frac.clamp(0.0, 1.0)) as u64;
     let mut acc = 0u64;
     let mut lines = 0u64;
