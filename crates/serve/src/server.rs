@@ -215,8 +215,7 @@ impl ServerState {
         if let Some(trace) = cached {
             return Some((trace.name.to_string(), trace.records.len()));
         }
-        let payload = self.store?.get_raw(key, btb_store::Kind::Trace)?;
-        let trace = btb_store::codec::decode_trace(&payload).ok()?;
+        let trace = self.store?.load_trace(key)?;
         Some((trace.name.to_string(), trace.records.len()))
     }
 }

@@ -1,7 +1,8 @@
 //! Versioned binary codecs for the artifacts the store holds.
 //!
-//! * **Traces** reuse `btb-trace`'s stream format (`io::write_trace` /
-//!   `io::read_trace`), which carries its own magic and version.
+//! * **Traces** reuse `btb-trace`'s stream format (`io::write_trace`),
+//!   which carries its own magic and version. They are decoded by
+//!   `Store::load_trace` while it hashes the payload, not here.
 //! * **Reports** get a dedicated fixed-layout encoding here: little-endian
 //!   counters plus bit-exact (`f64::to_bits`) floating-point aggregates,
 //!   so a decoded report is *identical* — not just approximately equal —
@@ -12,7 +13,7 @@
 //! codec errors to cache misses.
 
 use btb_sim::{SimReport, SimStats};
-use btb_trace::{read_trace, write_trace, Trace};
+use btb_trace::{write_trace, Trace};
 
 /// Report encoding version; bump on any layout change.
 const REPORT_CODEC_VERSION: u32 = 1;
@@ -36,19 +37,6 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::with_capacity(trace.records.len() * 31 + 64);
     write_trace(&mut buf, trace).expect("writing to a Vec cannot fail");
     buf
-}
-
-/// Deserializes a trace from the `btb-trace` stream format.
-///
-/// # Errors
-/// Returns [`CodecError`] on malformed input, including trailing garbage.
-pub fn decode_trace(bytes: &[u8]) -> Result<Trace, CodecError> {
-    let mut cursor = bytes;
-    let trace = read_trace(&mut cursor).map_err(|_| CodecError("trace stream"))?;
-    if !cursor.is_empty() {
-        return Err(CodecError("trailing bytes after trace"));
-    }
-    Ok(trace)
 }
 
 struct Writer(Vec<u8>);
@@ -191,7 +179,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<SimReport, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btb_trace::WorkloadProfile;
 
     fn sample_report() -> SimReport {
         SimReport {
@@ -247,14 +234,5 @@ mod tests {
         let mut wrong_version = encode_report(&sample_report());
         wrong_version[8] = 0xfe;
         assert!(decode_report(&wrong_version).is_err(), "version");
-    }
-
-    #[test]
-    fn trace_roundtrip_and_trailing_garbage() {
-        let t = Trace::generate(&WorkloadProfile::tiny(4), 2_000);
-        let mut bytes = encode_trace(&t);
-        assert_eq!(decode_trace(&bytes).expect("roundtrip"), t);
-        bytes.push(0);
-        assert!(decode_trace(&bytes).is_err(), "trailing bytes");
     }
 }
